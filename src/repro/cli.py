@@ -38,7 +38,6 @@ from .harness.scenarios import (
     run_cc_pair,
     run_cc_pair_wct,
     run_cc_preservation,
-    run_fluid_share,
     run_longlived_share,
     run_single_entity_wct,
     run_two_entity_fairness,
@@ -285,31 +284,6 @@ def cmd_share(args) -> int:
         EntitySpec(name=f"{cc}-{i}", cc=cc, num_flows=args.flows)
         for i, cc in enumerate(args.ccs)
     ]
-    if args.fluid:
-        if any(cc != "udp" for cc in args.ccs):
-            print("--fluid requires all-UDP entities (closed-loop CC needs "
-                  "per-packet feedback)", file=sys.stderr)
-            return 2
-        result = run_fluid_share(
-            entities, args.approach,
-            bottleneck_bps=bottleneck, duration=duration, seed=args.seed,
-            fluid=True,
-        )
-        rows = [
-            [name, format_rate(nbytes * 8 / duration),
-             f"{nbytes * 8 / duration / bottleneck * 100:.0f}%"]
-            for name, nbytes in result.delivered_total.items()
-        ]
-        print(render_table(["entity", "goodput", "share"], rows))
-        stats = result.fluid
-        print(
-            f"fluid epochs: {stats.get('epochs', 0)} "
-            f"engagements: {stats.get('engagements', 0)} "
-            f"exits: {stats.get('exits', {})}"
-        )
-        if stats.get("static_reason"):
-            print(f"fast path ineligible: {stats['static_reason']}")
-        return 0
     result = run_longlived_share(
         entities, args.approach,
         bottleneck_bps=bottleneck, duration=duration,
@@ -1164,9 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ccs", nargs="+", default=["cubic", "udp"],
                    help="one entity per CC name (udp allowed)")
     p.add_argument("--flows", type=int, default=4)
-    p.add_argument("--fluid", action="store_true",
-                   help="hybrid fluid/packet fast path (UDP entities only): "
-                        "advance stable backlogged intervals in closed form")
     p.set_defaults(fn=cmd_share)
 
     p = sub.add_parser(

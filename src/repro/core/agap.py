@@ -22,7 +22,7 @@ this package); gaps are in **bytes**, so the drain term is ``Δ · R / 8``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -276,38 +276,6 @@ class AGapReplay:
             return self.gap
         drained = self.gap - delta * (self.rate_bps / 8.0)
         return drained if drained > 0.0 else 0.0
-
-
-def fluid_gap_after(
-    gap0: float, arrival_Bps: float, drain_Bps: float, dt: float
-) -> float:
-    """Closed form of the Theorem 3.2 recurrence under constant rates.
-
-    With a constant fluid arrival rate ``λ`` (bytes/s) and drain ``R/8``
-    (bytes/s), the per-packet recurrence ``A ← max(0, A − Δ·R/8) + size``
-    converges to the trajectory ``A(t) = A₀ + (λ − R/8)·t``, clamped at
-    zero: once the gap empties under ``λ < R/8`` it stays empty, so the
-    end value after ``dt`` seconds is simply ``max(0, A₀ + slope·dt)``.
-    This is the analytic A-Gap advance the fluid fast path applies per
-    epoch instead of per packet.
-    """
-    end = gap0 + (arrival_Bps - drain_Bps) * dt
-    return end if end > 0.0 else 0.0
-
-
-def fluid_gap_crossing(
-    gap0: float, arrival_Bps: float, drain_Bps: float, target: float
-) -> Optional[float]:
-    """Seconds until the constant-rate gap trajectory reaches ``target``,
-    or ``None`` if it never does (wrong direction or already past). Used
-    by the fluid engine to schedule epoch ends at A-Gap regime changes
-    (limit saturation going up, empty going down)."""
-    slope = arrival_Bps - drain_Bps
-    if slope > 0.0 and target > gap0:
-        return (target - gap0) / slope
-    if slope < 0.0 and target < gap0:
-        return (target - gap0) / slope
-    return None
 
 
 def agap_reference(

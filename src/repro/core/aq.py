@@ -147,45 +147,6 @@ class AugmentedQueue:
     def current_gap(self, now: float) -> float:
         return self.tracker.peek(now)
 
-    # -- fluid fast path (driven by :mod:`repro.sim.fluid`) -----------------------
-
-    def fluid_announce_rate(self, now: float) -> None:
-        """Emit an ``aq_rate`` event so the auditor's Theorem 3.2 replay
-        knows the drain rate in force before the first analytic epoch
-        (mirrors the lazy per-packet announce in :meth:`process`)."""
-        tele = self._tele
-        if tele is None or not tele.enabled:
-            return
-        if self._traced_rate != self.tracker.rate_bps:
-            self._traced_rate = self.tracker.rate_bps
-            tele.trace.emit_fields(
-                EV_AQ_RATE, now, aq_id=self.aq_id, value=self._traced_rate
-            )
-
-    def fluid_advance(
-        self,
-        now: float,
-        gap: float,
-        arrived_bytes: int,
-        arrived_packets: int,
-        dropped_bytes: int = 0,
-        dropped_packets: int = 0,
-    ) -> None:
-        """Adopt a closed-form epoch result: re-anchor the tracker at
-        ``(now, gap)`` and book the epoch's aggregate counters. The caller
-        (the fluid engine) has already advanced the recurrence analytically
-        and emitted the matching trace events."""
-        tracker = self.tracker
-        tracker.gap = gap
-        tracker.last_time = now
-        stats = self.stats
-        stats.arrived_packets += arrived_packets
-        stats.arrived_bytes += arrived_bytes
-        stats.dropped_packets += dropped_packets
-        stats.dropped_bytes += dropped_bytes
-        if gap > stats.max_gap:
-            stats.max_gap = gap
-
     # -- data path (Algorithms 1 + 2) ------------------------------------------------
 
     def process(self, packet: Packet, now: float) -> bool:

@@ -232,49 +232,6 @@ def bench_timewin_overhead(
     }
 
 
-def bench_fluid_speedup(duration: float = 50e-3) -> Dict[str, float]:
-    """Hybrid fluid/packet speedup on a stable backlogged share.
-
-    Two UDP entities blast an AQ-limited dumbbell at line rate — the
-    steady state the analytic fast path is built for: contending flow
-    sets stable, every bottleneck backlogged. Packet mode serializes
-    ~every byte as a discrete event; fluid mode advances the same run in
-    a handful of closed-form epochs. ``speedup_ratio`` is the wall-clock
-    ratio (``target_speedup`` is the >=10x gate in BENCH_engine.json),
-    ``fluid_epochs`` proves the fast path actually engaged rather than
-    falling back to packet mode.
-    """
-    from .common import EntitySpec
-    from .scenarios import run_fluid_share
-
-    entities = [
-        EntitySpec(name="A", cc="udp"),
-        EntitySpec(name="B", cc="udp"),
-    ]
-    t0 = time.perf_counter()
-    packet = run_fluid_share(entities, "aq", duration=duration, fluid=False)
-    packet_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fluid = run_fluid_share(entities, "aq", duration=duration, fluid=True)
-    fluid_wall = time.perf_counter() - t0
-    delivered_pk = sum(packet.delivered_total.values())
-    delivered_fl = sum(fluid.delivered_total.values())
-    return {
-        "duration_s": duration,
-        "packet_wall_s": packet_wall,
-        "fluid_wall_s": fluid_wall,
-        "speedup_ratio": packet_wall / fluid_wall if fluid_wall > 0 else 0.0,
-        "target_speedup": 10.0,
-        "fluid_epochs": float(fluid.fluid.get("epochs", 0)),
-        "fluid_engagements": float(fluid.fluid.get("engagements", 0)),
-        "packet_delivered_bytes": float(delivered_pk),
-        "fluid_delivered_bytes": float(delivered_fl),
-        "delivered_rel_err": (
-            abs(delivered_pk - delivered_fl) / max(delivered_pk, delivered_fl, 1)
-        ),
-    }
-
-
 def bench_shard_speedup(
     shards: int = 4, duration: float = 4e-3, pods: int = 4,
     tors_per_pod: int = 4, hosts_per_tor: int = 2,
@@ -454,7 +411,6 @@ ENGINE_BENCHES = {
     "idle_link": bench_idle_link,
     "backlogged_link": bench_backlogged_link,
     "timewin_overhead": bench_timewin_overhead,
-    "fluid_speedup": bench_fluid_speedup,
     "shard_speedup": bench_shard_speedup,
     "fabric_obs_overhead": bench_fabric_obs_overhead,
     "fabric_mixed": bench_fabric_mixed,

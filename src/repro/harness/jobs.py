@@ -299,104 +299,6 @@ def job_timewin_validate(
     return verdict
 
 
-def job_fluid_equiv(
-    scenario: str,
-    tolerance: float,
-    bottleneck_bps: float,
-    duration: float,
-) -> dict:
-    """Run one scenario in packet AND fluid mode; require both audit-clean
-    and per-entity delivered bytes within ``tolerance`` of each other.
-
-    The scenarios are policy-pinned: each entity's goodput is determined
-    by an explicit mechanism (AQ limit drops, PRL shaper rate, or an
-    undersubscribed bottleneck) rather than by enqueue races. Overloaded
-    equal-rate CBR through a deterministic drop-tail queue is
-    *phase-determined* in packet mode — one flow systematically wins the
-    race — which is an artifact the fluid closed form intentionally does
-    not reproduce (totals still match; see docs/PERFORMANCE.md).
-    ``aq-limit``'s looser tolerance covers exactly that: packet mode
-    splits the trunk buffer asymmetrically during the initial A-Gap
-    fill, worth about one bottleneck buffer of bytes per entity.
-    """
-    from ..obs.telemetry import Telemetry
-    from .scenarios import run_fluid_share
-
-    if scenario == "udp-basic":
-        approach = "pq"
-        entities = [
-            EntitySpec(name="A", cc="udp", udp_rate_bps=0.45 * bottleneck_bps),
-            EntitySpec(name="B", cc="udp", udp_rate_bps=0.40 * bottleneck_bps),
-        ]
-    elif scenario == "aq-limit":
-        approach = "aq"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(name="B", cc="udp"),
-        ]
-    elif scenario == "prl-shaper":
-        approach = "prl"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(name="B", cc="udp"),
-        ]
-    elif scenario == "staggered":
-        approach = "aq"
-        entities = [
-            EntitySpec(name="A", cc="udp"),
-            EntitySpec(
-                name="B", cc="udp",
-                start_time=duration / 4, stop_time=3 * duration / 4,
-            ),
-        ]
-    else:
-        raise ValueError(f"unknown fluid-equiv scenario {scenario!r}")
-
-    out: dict = {
-        "scenario": scenario, "approach": approach, "tolerance": tolerance,
-    }
-    delivered: Dict[str, Dict[str, int]] = {}
-    for mode in ("packet", "fluid"):
-        tele = Telemetry(enabled=True)
-        auditor = tele.enable_audit()
-        with tele.activate():
-            result = run_fluid_share(
-                entities, approach, bottleneck_bps=bottleneck_bps,
-                duration=duration, fluid=(mode == "fluid"),
-            )
-        tele.close()
-        report = auditor.report()
-        out[f"{mode}_violations"] = report["violation_count"]
-        if report["violation_count"]:
-            raise AssertionError(
-                f"{scenario}/{mode}: conservation audit failed: "
-                f"{report['violations'][:3]}"
-            )
-        delivered[mode] = result.delivered_total
-        if mode == "fluid":
-            out["fluid_epochs"] = result.fluid.get("epochs", 0)
-            out["fluid_exits"] = result.fluid.get("exits", {})
-    if out["fluid_epochs"] <= 0:
-        raise AssertionError(
-            f"{scenario}: fluid fast path never engaged "
-            f"(exits={out['fluid_exits']})"
-        )
-    out["delivered"] = delivered
-    worst = 0.0
-    for name in delivered["packet"]:
-        pk = delivered["packet"][name]
-        fl = delivered["fluid"][name]
-        rel = abs(pk - fl) / max(pk, fl, 1)
-        worst = max(worst, rel)
-        if rel > tolerance:
-            raise AssertionError(
-                f"{scenario}/{name}: packet={pk} fluid={fl} "
-                f"rel_err={rel:.4f} exceeds tolerance {tolerance}"
-            )
-    out["worst_rel_err"] = round(worst, 6)
-    return out
-
-
 def job_shard_equiv(
     shards: int,
     duration: float,
@@ -725,20 +627,6 @@ def default_jobs() -> List[JobSpec]:
             scenario=scenario, bottleneck_bps=gbps(1), duration=40e-3,
         ))
 
-    # Hybrid fluid/packet equivalence: tight tolerances where the packet
-    # mode is itself deterministic per entity; aq-limit is looser because
-    # packet mode splits the trunk buffer by enqueue phase (see
-    # job_fluid_equiv's docstring).
-    for scenario, tolerance in (
-        ("udp-basic", 0.01), ("aq-limit", 0.08),
-        ("prl-shaper", 0.01), ("staggered", 0.02),
-    ):
-        specs.append(_spec(
-            f"fluid/equiv/{scenario}", "job_fluid_equiv",
-            scenario=scenario, tolerance=tolerance,
-            bottleneck_bps=_BOTTLENECK, duration=20e-3,
-        ))
-
     # Sharded-fabric equivalence: shards=1 vs shards=k must hash
     # identically under the conservation auditor (docs/SCALING.md).
     specs.append(_spec(
@@ -773,7 +661,7 @@ def default_jobs() -> List[JobSpec]:
 
     for bench in (
         "timer_churn", "fire_chain", "idle_link", "backlogged_link",
-        "timewin_overhead", "fluid_speedup", "fabric_obs_overhead",
+        "timewin_overhead", "fabric_obs_overhead",
         "fabric_mixed",
     ):
         specs.append(_spec(f"engine/{bench}", "job_engine_bench", bench=bench))

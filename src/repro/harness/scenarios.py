@@ -1181,121 +1181,3 @@ def run_switch_restart(
         meters=meters,
         env=env,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hybrid fluid/packet simulation (docs/PERFORMANCE.md "Fluid fast path")
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FluidShareResult:
-    """Per-flow delivered bytes of one UDP sharing run, in either engine.
-
-    The same scenario runs under the per-packet engine (``mode="packet"``)
-    or the hybrid fluid engine (``mode="fluid"``); the equivalence jobs
-    compare the two field by field.
-    """
-
-    approach: str
-    mode: str
-    bottleneck_bps: float
-    duration: float
-    delivered_bytes: Dict[str, Dict[int, int]]  # entity -> flow_id -> bytes
-    delivered_total: Dict[str, int]             # entity -> bytes
-    fluid: dict                                 # FluidEngine.stats() ({} for packet)
-    env: SharingEnv
-
-
-def run_fluid_share(
-    entities: Sequence[EntitySpec],
-    approach: str,
-    bottleneck_bps: float = gbps(2),
-    duration: float = 50e-3,
-    seed: int = 1,
-    fluid: bool = False,
-    aq_limit_bytes: Optional[float] = None,
-    min_epoch: float = 1e-6,
-    retry_interval: float = 250e-6,
-) -> FluidShareResult:
-    """UDP entities share a dumbbell bottleneck, optionally fluid-simulated.
-
-    This is the harness for the hybrid fluid/packet fast path
-    (:mod:`repro.sim.fluid`): every entity must be UDP (constant-rate
-    senders are what the closed form models), and no periodic meters are
-    attached — per-flow delivered bytes are read off the sinks, so the
-    calendar stays empty and fluid epochs can span the whole run. With
-    ``fluid=False`` the identical network runs per-packet, giving the
-    equivalence baseline.
-    """
-    if any(not spec.is_udp for spec in entities):
-        raise ConfigurationError(
-            "run_fluid_share is UDP-only; the fluid closed form does not "
-            "model CC feedback loops"
-        )
-    dumbbell, src_hosts, dst_hosts = _build_dumbbell_for(
-        entities, approach, bottleneck_bps, seed
-    )
-    network = dumbbell.network
-    env = install_sharing(
-        network,
-        Dumbbell.LEFT_SWITCH,
-        bottleneck_bps,
-        entities,
-        approach,
-        src_hosts,
-        dst_hosts,
-        aq_limit_bytes=aq_limit_bytes,
-    )
-
-    flows: Dict[str, List[UdpFlow]] = {}
-    all_flows: List[UdpFlow] = []
-    for spec in entities:
-        srcs = src_hosts[spec.name]
-        dsts = dst_hosts[spec.name]
-        ingress_id = env.aq_ingress_id(spec.name)
-        rate = spec.udp_rate_bps or bottleneck_bps
-        entity_flows = []
-        for i in range(spec.num_flows):
-            flow = UdpFlow(
-                network,
-                srcs[i % len(srcs)],
-                dsts[i % len(dsts)],
-                rate / spec.num_flows,
-                start_time=spec.start_time,
-                stop_time=spec.stop_time,
-                aq_ingress_id=ingress_id,
-            )
-            entity_flows.append(flow)
-            all_flows.append(flow)
-        flows[spec.name] = entity_flows
-
-    fluid_stats: dict = {}
-    if fluid:
-        from ..sim.fluid import FluidEngine
-
-        engine = FluidEngine(
-            network, all_flows, min_epoch=min_epoch,
-            retry_interval=retry_interval,
-        )
-        engine.run(until=duration)
-        fluid_stats = engine.stats()
-    else:
-        network.run(until=duration)
-
-    delivered = {
-        name: {f.flow_id: f.sink.delivered_bytes for f in entity_flows}
-        for name, entity_flows in flows.items()
-    }
-    return FluidShareResult(
-        approach=approach,
-        mode="fluid" if fluid else "packet",
-        bottleneck_bps=bottleneck_bps,
-        duration=duration,
-        delivered_bytes=delivered,
-        delivered_total={
-            name: sum(per_flow.values()) for name, per_flow in delivered.items()
-        },
-        fluid=fluid_stats,
-        env=env,
-    )

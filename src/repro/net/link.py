@@ -192,13 +192,6 @@ class Link:
         self._handler(packet)
 
 
-#: Per-link simulation modes (the ``LinkMode`` abstraction). ``packet`` is
-#: the default discrete-event regime; ``fluid`` parks the transmitter while
-#: :class:`repro.sim.fluid.FluidEngine` advances the link analytically.
-MODE_PACKET = "packet"
-MODE_FLUID = "fluid"
-
-
 def _boundary_trap(packet: Packet) -> None:  # pragma: no cover - never called
     raise ConfigurationError("BoundaryLink delivers via capture, not a handler")
 
@@ -284,12 +277,6 @@ class Transmitter:
       end-of-serialization instant, so back-to-back timing is preserved
       bit-for-bit while an uncontended link pays one event per packet
       instead of two.
-
-    A transmitter also carries a *mode* (:data:`MODE_PACKET` /
-    :data:`MODE_FLUID`). In fluid mode the pump is disabled: an in-flight
-    packet still delivers (so the fluid engine's drain barrier converges)
-    but nothing new is pulled off the queue — the queue contents become
-    plain state that the fluid engine accounts for in closed form.
     """
 
     def __init__(
@@ -315,8 +302,6 @@ class Transmitter:
         #: True when an event (``_finish`` or ``_resume``) will run at
         #: ``_tx_end`` to pull the next packet off the queue.
         self._finish_pending = False
-        #: :data:`MODE_PACKET` or :data:`MODE_FLUID`; see class docstring.
-        self.mode = MODE_PACKET
 
     @property
     def busy(self) -> bool:
@@ -339,28 +324,9 @@ class Transmitter:
         """Restart transmission if idle (used after out-of-band enqueues)."""
         self._pump()
 
-    def set_mode(self, mode: str) -> None:
-        """Switch between :data:`MODE_PACKET` and :data:`MODE_FLUID`.
-
-        Entering fluid mode disables the pump; any packet currently on the
-        line still delivers via its pending event. Leaving fluid mode
-        clears serialization state — the caller rebuilds the queue first,
-        then calls :meth:`kick` to restart the drain.
-        """
-        if mode not in (MODE_PACKET, MODE_FLUID):
-            raise ValueError(f"unknown transmitter mode: {mode!r}")
-        if mode == self.mode:
-            return
-        self.mode = mode
-        if mode == MODE_PACKET:
-            self._busy = False
-            self._finish_pending = False
-
     def _pump(self) -> None:
         """Ensure the queue will drain: start now if the line is idle, or
         arrange the lazily-deferred dequeue at end-of-serialization."""
-        if self.mode == MODE_FLUID:
-            return
         if self._line_busy():
             if not self._finish_pending:
                 self._finish_pending = True
@@ -416,16 +382,9 @@ class Transmitter:
     def _finish(self, packet: Packet) -> None:
         self._finish_pending = False
         self.link.deliver(packet)
-        if self.mode == MODE_FLUID:
-            # Drain barrier: deliver the in-flight packet, then park.
-            self._busy = False
-            return
         self._start_next()
 
     def _resume(self) -> None:
         """Deferred end-of-serialization dequeue for the fast path."""
         self._finish_pending = False
-        if self.mode == MODE_FLUID:
-            self._busy = False
-            return
         self._start_next()

@@ -24,12 +24,10 @@ from .events import (
     EV_ECN_MARK,
     EV_ENQUEUE,
     EV_FAULT,
-    EV_FLUID_EPOCH,
     EV_GATE,
     EV_HOST_SEND,
     EV_RATE_LIMIT,
     FAULT_EVENT_TYPES,
-    FLUID_EVENT_TYPES,
     TraceEvent,
 )
 from .flightrec import (
@@ -85,9 +83,7 @@ __all__ = [
     "AUDIT_EVENT_TYPES",
     "CORE_EVENT_TYPES",
     "FAULT_EVENT_TYPES",
-    "FLUID_EVENT_TYPES",
     "EV_FAULT",
-    "EV_FLUID_EPOCH",
     "EV_AGAP_UPDATE",
     "EV_AQ_RATE",
     "EV_CWND_CHANGE",

@@ -60,7 +60,6 @@ from .events import (
     EV_DROP,
     EV_ENQUEUE,
     EV_FAULT,
-    EV_FLUID_EPOCH,
     EV_GATE,
     EV_HOST_SEND,
     EV_RATE_LIMIT,
@@ -226,8 +225,6 @@ class RunAuditor(TraceSink):
             self._on_gate(event)
         elif etype == EV_FAULT:
             self._on_fault(event)
-        elif etype == EV_FLUID_EPOCH:
-            self._on_fluid_epoch(event)
 
     def close(self) -> None:
         self.finish()
@@ -344,52 +341,13 @@ class RunAuditor(TraceSink):
         if aq_id is None:
             return  # shaper discard: pre-injection, not an in-network drop
         replay = self._agap.get(aq_id)
-        if replay is not None and event.size is not None and event.reason != "fluid":
-            # Fluid epochs book their drops in aggregate; the epoch's
-            # ``fluid_epoch`` event re-anchors the replayed gap, so undoing
-            # here would double-count what the closed form already excluded.
+        if replay is not None and event.size is not None:
             replay.on_undo(event.size)
         if event.flow_id is not None:
             book = self._book(event.flow_id)
             book.dropped_bytes += event.size or 0
             book.dropped_packets += 1
             self._check_flow(event, book)
-
-    def _on_fluid_epoch(self, event: TraceEvent) -> None:
-        """Check a fluid epoch's end gap against the recurrence bounds.
-
-        Per-packet replay is impossible across an analytic epoch (there
-        are no per-packet events), but Theorem 3.2 still brackets the
-        reachable gap: with ``S`` bytes admitted over ``Δt`` at drain rate
-        ``R``, the end gap must lie in ``[max(0, g₀ + S − R·Δt/8),
-        g₀ + S]`` — the lower bound is the no-clamping trajectory (the
-        ``max(0, ·)`` clamp can only keep the gap higher), the upper bound
-        is zero drain. The replay then re-anchors at the reported value,
-        exactly like ``commit_arrival`` on a per-packet update.
-        """
-        aq_id = event.aq_id
-        if aq_id is None or event.value is None:
-            return
-        replay = self._agap.get(aq_id)
-        if replay is None:
-            replay = self._agap[aq_id] = AGapReplay()
-        if self._agap_checkable.get(aq_id) and event.size is not None:
-            admitted = float(event.size)
-            dt = event.time - replay.last_time
-            drain = (replay.rate_bps / 8.0) * max(0.0, dt)
-            upper = replay.gap + admitted
-            lower = max(0.0, upper - drain)
-            tol = 1e-6 * max(1.0, abs(upper)) + 1.0
-            if not (lower - tol <= event.value <= upper + tol):
-                self._violate(
-                    "agap_recurrence",
-                    event.time,
-                    f"aq {aq_id}",
-                    f"fluid epoch reports end gap {event.value:.3f}B outside "
-                    f"the Theorem 3.2 envelope [{lower:.3f}, {upper:.3f}]B "
-                    f"(admitted {admitted:.0f}B over {dt:.6f}s)",
-                )
-        replay.commit_arrival(event.time, event.value)
 
     def _on_aq_rate(self, event: TraceEvent) -> None:
         aq_id = event.aq_id

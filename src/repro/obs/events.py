@@ -28,8 +28,7 @@ Field semantics (``None`` means "not applicable", dropped from JSON):
 ``reason`` short cause label on discard/decision events: ``"buffer"``
            (tail drop), ``"red"`` (probabilistic RED drop), ``"no_queue"``
            (per-flow queue table exhausted), ``"rate_limit"`` (AQ limit
-           drop), ``"fluid"`` (aggregate AQ limit drops booked by a fluid
-           epoch), ``"shaper"`` (token-bucket backlog cap),
+           drop), ``"shaper"`` (token-bucket backlog cap),
            ``"bypass"``/``"enforce"`` on ``gate`` events, and the
            fault-attributed discard labels ``"link_down"``,
            ``"switch_restart"`` (queue drained by a restart), and
@@ -67,12 +66,6 @@ EV_GATE = "gate"
 #: fault kind/step, ``node`` the affected component, ``aq_id`` the wiped
 #: or redeployed Augmented Queue where applicable).
 EV_FAULT = "fault"
-#: The fluid fast path closed one analytic epoch over an Augmented Queue:
-#: ``size`` is the bytes admitted through the AQ during the epoch and
-#: ``value`` the A-Gap register at the epoch end. The auditor checks the
-#: end gap against the Theorem 3.2 recurrence bounds and re-anchors its
-#: replay there, exactly as a per-packet ``agap_update`` would.
-EV_FLUID_EPOCH = "fluid_epoch"
 
 #: The canonical event vocabulary, in emission-likelihood order.
 CORE_EVENT_TYPES = (
@@ -101,16 +94,8 @@ AUDIT_EVENT_TYPES = (
 #: switch restart wipes register state.
 FAULT_EVENT_TYPES = (EV_FAULT,)
 
-#: Fluid fast-path events; only present in traces of hybrid runs driven
-#: by :class:`~repro.sim.fluid.FluidEngine`. Epoch summaries let the
-#: conservation-law auditor close its books across analytically-advanced
-#: stretches where no per-packet events exist.
-FLUID_EVENT_TYPES = (EV_FLUID_EPOCH,)
-
 #: Every event type the simulator itself emits.
-ALL_EVENT_TYPES = (
-    CORE_EVENT_TYPES + AUDIT_EVENT_TYPES + FAULT_EVENT_TYPES + FLUID_EVENT_TYPES
-)
+ALL_EVENT_TYPES = CORE_EVENT_TYPES + AUDIT_EVENT_TYPES + FAULT_EVENT_TYPES
 
 _FIELDS = ("type", "time", "node", "flow_id", "aq_id", "size", "value", "reason")
 

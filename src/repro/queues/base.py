@@ -15,14 +15,6 @@ from ..net.packet import Packet
 class QueueDiscipline(ABC):
     """Abstract buffering discipline for an output port."""
 
-    #: True when the discipline supports bulk fluid accounting — i.e. the
-    #: fluid fast path (:mod:`repro.sim.fluid`) can snapshot its per-flow
-    #: backlog composition, advance it in closed form, and rebuild the
-    #: buffer on epoch exit. Disciplines that keep per-packet semantics the
-    #: closed form cannot reproduce (RED marking, per-flow scheduling)
-    #: leave this ``False`` and force packet mode.
-    supports_fluid = False
-
     @abstractmethod
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Offer ``packet`` at time ``now``. Returns ``False`` if dropped."""

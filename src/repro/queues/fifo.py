@@ -63,12 +63,6 @@ class FifoQueueStats:
 class PhysicalFifoQueue(QueueDiscipline):
     """Shared drop-tail FIFO with optional ECN marking.
 
-    Drop-tail FIFO dynamics have an exact fluid counterpart (shared
-    backlog, proportional-share drain), so this discipline supports the
-    bulk accounting the fluid fast path needs (``supports_fluid``); the
-    engine still refuses queues with an ECN/RED threshold, whose
-    per-packet marking the closed form cannot reproduce.
-
     Parameters
     ----------
     limit_bytes:
@@ -90,8 +84,6 @@ class PhysicalFifoQueue(QueueDiscipline):
         registers a metrics collector; otherwise the data path is
         untouched (one ``is not None`` check).
     """
-
-    supports_fluid = True
 
     def __init__(
         self,
@@ -317,57 +309,3 @@ class PhysicalFifoQueue(QueueDiscipline):
     @property
     def packets_queued(self) -> int:
         return len(self._queue)
-
-    # -- fluid fast path (driven by :mod:`repro.sim.fluid`) --------------------
-
-    def fluid_capture(self) -> "dict[int, int]":
-        """Hand the buffered packets over to the fluid engine: returns the
-        per-flow byte composition and empties the deque (the engine owns
-        the backlog as state from here until :meth:`fluid_restore`).
-        ``_bytes`` keeps reporting the backlog so gauges stay truthful."""
-        composition: "dict[int, int]" = {}
-        for packet in self._queue:
-            composition[packet.flow_id] = (
-                composition.get(packet.flow_id, 0) + packet.size
-            )
-        self._queue.clear()
-        return composition
-
-    def fluid_account(
-        self,
-        enqueued_packets: int,
-        enqueued_bytes: int,
-        dequeued_packets: int,
-        dequeued_bytes: int,
-        dropped_packets: int,
-        dropped_bytes: int,
-        backlog_bytes: int,
-    ) -> None:
-        """Book one epoch's aggregate counters and adopt the end backlog.
-        The engine emits the matching trace events itself (it controls
-        per-flow attribution and ordering); this keeps the stats and the
-        live ``_bytes`` gauge in step with them."""
-        stats = self.stats
-        stats.enqueued_packets += enqueued_packets
-        stats.enqueued_bytes += enqueued_bytes
-        stats.dequeued_packets += dequeued_packets
-        stats.dequeued_bytes += dequeued_bytes
-        stats.dropped_packets += dropped_packets
-        stats.dropped_bytes += dropped_bytes
-        stats.dropped_buffer_packets += dropped_packets
-        self._bytes = int(backlog_bytes)
-        if self._bytes > stats.max_bytes_queued:
-            stats.max_bytes_queued = self._bytes
-
-    def fluid_restore(self, packets, now: float) -> None:
-        """Rebuild the packet-mode buffer from synthesized packets on
-        epoch exit; ``_bytes`` must already equal their total size."""
-        for packet in packets:
-            packet.enqueue_time = now
-        self._queue = deque(packets)
-        total = sum(p.size for p in packets)
-        if total != self._bytes:
-            raise ConfigurationError(
-                f"fluid_restore size mismatch on {self.name or 'fifo'}: "
-                f"rebuilt {total}B but accounted {self._bytes}B"
-            )

@@ -11,7 +11,7 @@ cannot track an arbitrary, shifting traffic pattern.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque
 
 from ..errors import ConfigurationError
 from ..net.packet import ACK, Packet
@@ -125,76 +125,6 @@ class TokenBucketShaper:
     @property
     def backlog_bytes(self) -> int:
         return self._backlog_bytes
-
-    # -- fluid fast path (driven by :mod:`repro.sim.fluid`) ------------------------
-
-    def fluid_pause(self) -> "tuple[float, float]":
-        """Hand the drain over to the fluid engine: settle the token count,
-        cancel the pending release, and return ``(tokens, backlog_bytes)``
-        as the float state the closed form evolves."""
-        self._refill()
-        if self._release_event is not None:
-            self._release_event.cancel()
-            self._release_event = None
-        return self._tokens, float(self._backlog_bytes)
-
-    def fluid_phase(
-        self, tokens: float, backlog: float, arrival_Bps: float
-    ) -> "tuple[float, float, float, float, Optional[float]]":
-        """Piecewise-linear shaper dynamics under constant fluid input.
-
-        Returns ``(out_Bps, drop_Bps, tokens_slope, backlog_slope,
-        boundary_s)`` for the phase the ``(tokens, backlog)`` state is in:
-
-        * **pass-through** — no backlog and tokens cover the input: output
-          equals input, tokens drift at ``ρ − λ`` (boundary when the
-          bucket runs dry under ``λ > ρ``);
-        * **drain** — backlog present, or bucket empty with ``λ > ρ``:
-          output is the token rate ``ρ``, backlog drifts at ``λ − ρ``
-          (boundary when the backlog empties or reaches the cap);
-        * **saturated** — backlog pinned at the cap with ``λ > ρ``: output
-          ``ρ``, the excess ``λ − ρ`` is dropped pre-injection.
-
-        ``boundary_s`` is ``None`` when the phase is stable under constant
-        input. State stays with the caller (the fluid engine) so epochs can
-        be advanced without touching the packet-mode deque.
-        """
-        rho = self.rate_bps / 8.0
-        lam = arrival_Bps
-        if backlog > _EPSILON_BYTES or (tokens <= _EPSILON_BYTES and lam > rho):
-            if backlog >= self.backlog_limit_bytes - _EPSILON_BYTES and lam > rho:
-                return rho, lam - rho, 0.0, 0.0, None
-            slope = lam - rho
-            if slope > 0.0:
-                boundary: Optional[float] = (
-                    self.backlog_limit_bytes - backlog
-                ) / slope
-            elif slope < 0.0 and backlog > _EPSILON_BYTES:
-                boundary = backlog / -slope
-            else:
-                boundary = None
-            return rho, 0.0, 0.0, slope, boundary
-        t_slope = rho - lam
-        boundary = tokens / -t_slope if t_slope < 0.0 else None
-        return lam, 0.0, t_slope, 0.0, boundary
-
-    def fluid_account(
-        self, submitted_bytes: int, shaped_packets: int, dropped_packets: int
-    ) -> None:
-        """Book one epoch's aggregate counters (mirrors :meth:`submit`)."""
-        self.submitted_bytes += submitted_bytes
-        self.shaped_packets += shaped_packets
-        self.dropped_packets += dropped_packets
-
-    def fluid_resume(
-        self, tokens: float, backlog_packets, backlog_bytes: int
-    ) -> None:
-        """Adopt the closed-form end state and re-arm per-packet releases."""
-        self._tokens = min(float(self.bucket_bytes), max(0.0, tokens))
-        self._last_refill = self.sim.now
-        self._backlog = deque(backlog_packets)
-        self._backlog_bytes = int(backlog_bytes)
-        self._schedule_release()
 
     def _refill(self) -> None:
         now = self.sim.now

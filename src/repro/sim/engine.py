@@ -19,22 +19,17 @@ profiler (when attached) swaps the run loop for an instrumented variant,
 and components reach the trace bus / metrics registry via
 ``sim.telemetry``.
 
-**Execution modes.** The engine itself is mode-agnostic — it only ever
-pops the next event. Two subsystems restructure *what gets scheduled*
-on top of it, and they compose differently:
+**One execution mode.** Every packet is an event: A-Gap updates, limit
+drops and CC feedback all run per packet, as in the paper's NS3/BMv2
+evaluation. **Sharding** (:mod:`repro.sim.shard`) only changes how many
+calendars there are: one simulator per partition, run in lockstep
+epochs of :meth:`Simulator.run` bounded by the conservative lookahead,
+with cross-partition arrivals re-entering via
+:meth:`Simulator.schedule_at` at barriers. Telemetry composes with it.
 
-* the **fluid fast path** (:mod:`repro.sim.fluid`) pauses per-packet
-  machinery on stable backlogged links and jumps the clock with
-  :meth:`Simulator.advance_to` — one simulator, fewer events;
-* **sharding** (:mod:`repro.sim.shard`) runs one simulator per
-  partition in lockstep epochs of :meth:`Simulator.run` bounded by the
-  conservative lookahead, with cross-partition arrivals re-entering via
-  :meth:`Simulator.schedule_at` at barriers.
-
-Telemetry composes with both. Fluid and sharding are mutually
-exclusive: fluid's analytic epochs advance links past barrier times,
-which would violate the capture-before-barrier invariant sharding's
-determinism contract rests on (see ``docs/SCALING.md`` §7).
+Event times must be ordered numbers: scheduling at (or running until) a
+NaN raises, because NaN compares false both ways and would fire out of
+order and leave the clock at NaN.
 """
 
 from __future__ import annotations
@@ -162,9 +157,9 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time}: not at or after now ({self._now})"
             )
         self._seq += 1
         event = Event(time, self._seq, fn, args, self)
@@ -184,9 +179,9 @@ class Simulator:
 
     def schedule_fire_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Absolute-time variant of :meth:`schedule_fire`."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time}: not at or after now ({self._now})"
             )
         self._seq += 1
         free = self._free
@@ -267,6 +262,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until != until:  # NaN
+            raise SimulationError("cannot run until NaN")
         self._running = True
         profiler = self.telemetry.profiler if self.telemetry is not None else None
         heap = self._heap
@@ -362,28 +359,6 @@ class Simulator:
         self._prune_cancelled()
         heap = self._heap
         return heap[0].time if heap else None
-
-    def advance_to(self, time: float) -> None:
-        """Jump the clock straight to ``time`` without processing events.
-
-        This is the fluid fast path's epoch skip: the caller has advanced
-        the world analytically and only needs the clock to agree. It is an
-        error to jump backwards, to jump past a pending event (that event
-        would then fire in the past), or to call this from inside a
-        callback (the run loop owns the clock while it is running).
-        """
-        if self._running:
-            raise SimulationError("advance_to cannot be called from inside run()")
-        if time < self._now:
-            raise SimulationError(
-                f"advance_to would move the clock backwards ({time} < {self._now})"
-            )
-        nxt = self.peek_time()
-        if nxt is not None and nxt < time:
-            raise SimulationError(
-                f"advance_to({time}) would skip a pending event at {nxt}"
-            )
-        self._now = time
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the calendar. O(1): a live

@@ -1,10 +1,10 @@
 """Conservative-synchronization parallel DES: one fabric, many workers.
 
 The engine (:mod:`repro.sim.engine`) is strictly single-threaded, so a
-large fat-tree run is wall-clock-bound by one core even after the fluid
-fast path. This module shards **one scenario** across partitions, each
-with its own :class:`~repro.sim.engine.Simulator`, advancing in lockstep
-epochs of conservative lookahead ``L`` — the minimum propagation delay of
+large fat-tree run is wall-clock-bound by one core. This module shards
+**one scenario** across partitions, each with its own
+:class:`~repro.sim.engine.Simulator`, advancing in lockstep epochs of
+conservative lookahead ``L`` — the minimum propagation delay of
 any *cut link* (a link whose endpoints live in different partitions).
 
 Why no null messages are needed
@@ -56,12 +56,8 @@ count.
 Mode composition
 ----------------
 
-Sharding composes with the packet engine and all telemetry layers
-(audit, time windows, flight recording *within* a partition). It does
-**not** compose with the fluid fast path (:mod:`repro.sim.fluid`): a
-fluid epoch advances a link analytically past barrier times, which would
-break the capture-before-barrier invariant; scenario builders must not
-engage a :class:`FluidEngine` on a sharded run. Probabilistic
+Sharding composes with the per-packet engine and all telemetry layers
+(audit, time windows, flight recording *within* a partition). Probabilistic
 ``packet_corruption`` faults are deterministic for a *fixed* shard count
 but only digest-comparable across counts when at most one target draws
 from the plan RNG (with several corrupting links the single-process run
@@ -81,6 +77,7 @@ Two drivers share all of the above:
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import time
 import traceback
@@ -168,12 +165,17 @@ def barrier_times(duration: float, lookahead: float) -> List[float]:
 
     Every driver — in-process, spawn workers, and the coordinator — must
     derive barriers from this one function so float accumulation is
-    bit-identical everywhere.
+    bit-identical everywhere. Both inputs must be finite and positive:
+    a NaN duration would yield no epochs, an infinite one never ends.
     """
-    if duration <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration}")
-    if lookahead <= 0:
-        raise ConfigurationError(f"lookahead must be positive, got {lookahead}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(
+            f"duration must be finite and positive, got {duration}"
+        )
+    if not (math.isfinite(lookahead) and lookahead > 0):
+        raise ConfigurationError(
+            f"lookahead must be finite and positive, got {lookahead}"
+        )
     times: List[float] = []
     t = 0.0
     while t < duration:

@@ -63,40 +63,6 @@ class UdpSender:
     def stop(self) -> None:
         self._stopped = True
 
-    # -- fluid fast-path hooks (driven by repro.sim.fluid) ---------------------
-
-    def is_active(self, now: float) -> bool:
-        """True when the sender would emit a packet at ``now`` (started,
-        not stopped, bytes budget not exhausted)."""
-        if self._stopped or now < self.start_time:
-            return False
-        if self.stop_time is not None and now >= self.stop_time:
-            return False
-        if self.total_bytes is not None and self.bytes_sent >= self.total_bytes:
-            return False
-        return True
-
-    def fluid_pause(self):
-        """Cancel the pending send event so the fluid engine can account
-        for this sender analytically. Returns the cancelled send's
-        scheduled time (or ``None``), so an engagement that closes no
-        epochs can restore the exact per-packet cadence."""
-        if self._pending is not None:
-            next_send = self._pending.time
-            self._pending.cancel()
-            self._pending = None
-            return next_send
-        return None
-
-    def fluid_emit(self, nbytes: int, npackets: int) -> None:
-        """Book ``npackets`` whole packets emitted during a fluid epoch."""
-        self.bytes_sent += nbytes
-        self.packets_sent += npackets
-
-    def fluid_resume(self, next_time: float) -> None:
-        """Re-arm the per-packet send loop at ``next_time``."""
-        self._pending = self.sim.schedule_at(next_time, self._send_next)
-
     def _send_next(self) -> None:
         now = self.sim.now
         self._pending = None

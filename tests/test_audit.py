@@ -9,7 +9,8 @@ packet-level run end to end.
 
 import pytest
 
-from repro.harness.scenarios import run_cc_pair
+from repro.harness.common import EntitySpec
+from repro.harness.scenarios import run_cc_pair, run_longlived_share
 from repro.net.packet import make_data
 from repro.obs import AuditError, RunAuditor, Telemetry, TraceEvent
 from repro.obs.events import (
@@ -381,4 +382,22 @@ class TestAuditIntegration:
         with tele.activate():
             run_cc_pair("cubic", 2, "udp", 1, "pq", **SHORT)
         tele.close()
+        assert auditor.finish() == []
+
+    def test_clean_staggered_udp_aq_run_audits_clean(self):
+        # All-UDP AQ share with entity B on only from 5 to 15 ms: AQ
+        # limit drops plus an entity that starts and stops mid-run.
+        tele = Telemetry()
+        auditor = tele.enable_audit()
+        entities = [
+            EntitySpec(name="A", cc="udp"),
+            EntitySpec(name="B", cc="udp", start_time=5e-3, stop_time=15e-3),
+        ]
+        with tele.activate():
+            run_longlived_share(
+                entities, "aq", bottleneck_bps=gbps(2),
+                duration=20e-3, warmup=5e-3,
+            )
+        tele.close()
+        assert auditor.events_seen > 1_000
         assert auditor.finish() == []

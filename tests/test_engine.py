@@ -52,6 +52,28 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_times_rejected(self):
+        # NaN compares false both ways: unguarded, events at 1.0, nan,
+        # 0.5, 2.0 fired as [0.5, 1.0, nan, 2.0] and left the clock at NaN.
+        nan = float("nan")
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_fire_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_fire(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=nan)
+        fired = []
+        for t in (1.0, 0.5, 2.0):
+            sim.schedule_at(t, fired.append, t)
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0]
+        assert sim.now == 2.0
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         fired = []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.host import Host
-from repro.net.link import Link, Transmitter
+from repro.net.link import Link, LinkStats, Transmitter
 from repro.net.packet import make_udp
 from repro.queues.fifo import PhysicalFifoQueue
 from repro.sim.engine import Simulator
@@ -83,6 +83,23 @@ class TestLinkAndTransmitter:
             Link(sim, 0, 0.0, lambda p: None)
         with pytest.raises(ConfigurationError):
             Link(sim, gbps(1), -1.0, lambda p: None)
+
+
+class TestLinkStatsUtilization:
+    def test_zero_duration_returns_zero(self):
+        stats = LinkStats()
+        stats.busy_time = 1.5
+        assert stats.utilization(0.0) == 0.0
+
+    def test_negative_duration_returns_zero(self):
+        stats = LinkStats()
+        stats.busy_time = 1.5
+        assert stats.utilization(-1.0) == 0.0
+
+    def test_positive_duration(self):
+        stats = LinkStats()
+        stats.busy_time = 0.25
+        assert stats.utilization(0.5) == pytest.approx(0.5)
 
 
 class TestHost:

@@ -126,15 +126,14 @@ class TestTraceEvent:
         assert len(CORE_EVENT_TYPES) == 7
         assert len(set(CORE_EVENT_TYPES)) == 7
 
-    def test_full_vocabulary_is_core_plus_audit_plus_fault_plus_fluid(self):
-        from repro.obs import FAULT_EVENT_TYPES, FLUID_EVENT_TYPES
+    def test_full_vocabulary_is_core_plus_audit_plus_fault(self):
+        from repro.obs import FAULT_EVENT_TYPES
 
         assert ALL_EVENT_TYPES == (
             CORE_EVENT_TYPES + AUDIT_EVENT_TYPES + FAULT_EVENT_TYPES
-            + FLUID_EVENT_TYPES
         )
-        assert len(ALL_EVENT_TYPES) == 13
-        assert len(set(ALL_EVENT_TYPES)) == 13
+        assert len(ALL_EVENT_TYPES) == 12
+        assert len(set(ALL_EVENT_TYPES)) == 12
 
     def test_reason_field_round_trips(self):
         event = TraceEvent(EV_DROP, 0.1, node="s0.p0", size=1500, reason="red")

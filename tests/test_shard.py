@@ -44,10 +44,13 @@ class TestPrimitives:
         assert len(times) == 4
 
     def test_barrier_times_reject_bad_inputs(self):
-        with pytest.raises(ConfigurationError):
-            barrier_times(0.0, 1e-3)
-        with pytest.raises(ConfigurationError):
-            barrier_times(1e-3, 0.0)
+        nan, inf = float("nan"), float("inf")
+        for duration, lookahead in (
+            (0.0, 1e-3), (1e-3, 0.0),
+            (nan, 1e-3), (inf, 1e-3), (1e-3, nan), (1e-3, inf),
+        ):
+            with pytest.raises(ConfigurationError):
+                barrier_times(duration, lookahead)
 
     def test_boundary_batch_round_trips_every_header_field(self):
         packet = make_udp("h0-0-0", "h1-0-0", 7, 1500)
