@@ -13,7 +13,6 @@ from typing import Optional
 from ..cc.base import DELAY_BASED, ECN_BASED
 from ..errors import ConfigurationError
 from ..net.packet import Packet
-from ..obs.events import EV_AGAP_UPDATE, EV_AQ_RATE, EV_ECN_MARK, EV_RATE_LIMIT
 from .agap import AGapTracker
 from .feedback import FeedbackPolicy, drop_policy
 
@@ -65,8 +64,9 @@ class AugmentedQueue:
         :mod:`repro.core.feedback`.
     entity / telemetry:
         Observability identity and handle. With enabled telemetry the AQ
-        emits ``agap_update`` / ``rate_limit`` / ``ecn_mark`` trace
-        events and publishes its counters into the metrics registry.
+        binds an :class:`~repro.obs.probe.AqProbe`, which reports
+        ``aq_rate`` / ``agap_update`` / ``rate_limit`` / ``ecn_mark``
+        events, and publishes its counters into the metrics registry.
     """
 
     def __init__(
@@ -94,21 +94,15 @@ class AugmentedQueue:
         #: Deployment position ("ingress"/"egress"), stamped by
         #: :meth:`repro.core.pipeline.AqPipeline.deploy` for drop attribution.
         self.position = ""
-        self._tele = telemetry if telemetry is not None and telemetry.enabled else None
-        self._flight = self._tele.flightrec if self._tele is not None else None
-        tw = self._tele.timewin if self._tele is not None else None
-        #: Window-recorder node label: the virtual queue is attributed like
-        #: a port, with the A-Gap standing in for physical backlog. The
-        #: handle binds the label once so the admit path skips the lookup.
-        self._timewin_node = f"aq{aq_id}" if not entity else f"aq{aq_id}:{entity}"
-        self._timewin = (
-            tw.port_handle(self._timewin_node) if tw is not None else None
+        # The virtual queue is a time-window port of its own, with the
+        # A-Gap standing in for physical backlog.
+        self._probe = (
+            telemetry.aq_probe(self, f"aq{aq_id}:{entity}" if entity else f"aq{aq_id}")
+            if telemetry is not None
+            else None
         )
-        #: Last rate announced on the trace (``aq_rate`` events let the run
-        #: auditor replay the Theorem 3.2 recurrence with the right R).
-        self._traced_rate: Optional[float] = None
-        if self._tele is not None:
-            self._tele.metrics.add_collector(self._collect_metrics)
+        if self._probe is not None:
+            telemetry.metrics.add_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry) -> None:
         stats = self.stats
@@ -135,10 +129,8 @@ class AugmentedQueue:
     def set_rate(self, now: float, rate_bps: float) -> None:
         """Weighted-mode rate update from the controller."""
         self.tracker.set_rate(now, rate_bps)
-        tele = self._tele
-        if tele is not None and tele.enabled:
-            tele.trace.emit_fields(EV_AQ_RATE, now, aq_id=self.aq_id, value=rate_bps)
-            self._traced_rate = rate_bps
+        if self._probe is not None:
+            self._probe.rate(now, rate_bps)
 
     @property
     def gap_bytes(self) -> float:
@@ -162,45 +154,16 @@ class AugmentedQueue:
         gap = self.tracker.on_arrival(now, packet.size)
         if gap > stats.max_gap:
             stats.max_gap = gap
-        tele = self._tele
-        trace = tele.trace if tele is not None and tele.enabled else None
-        if trace is not None:
-            if self._traced_rate != self.tracker.rate_bps:
-                # Announce R lazily so the auditor's Theorem 3.2 replay
-                # always knows the drain rate in force for the next interval.
-                self._traced_rate = self.tracker.rate_bps
-                trace.emit_fields(
-                    EV_AQ_RATE, now, aq_id=self.aq_id, value=self._traced_rate
-                )
-            trace.emit_fields(
-                EV_AGAP_UPDATE, now, aq_id=self.aq_id,
-                flow_id=packet.flow_id, size=packet.size, value=gap,
-            )
+        probe = self._probe
         if gap > self.limit_bytes:
             self.tracker.undo_arrival(packet.size)
             stats.dropped_packets += 1
             stats.dropped_bytes += packet.size
-            if trace is not None:
-                trace.emit_fields(
-                    EV_RATE_LIMIT, now, aq_id=self.aq_id,
-                    flow_id=packet.flow_id, size=packet.size, value=gap,
-                    reason="rate_limit",
-                )
-            fr = self._flight
-            if fr is not None and packet.flight is not None:
-                fr.aq_hop(
-                    packet, self.entity, now, self.aq_id, self.position,
-                    agap=gap, limit=self.limit_bytes, ecn=False, dropped=True,
-                )
-            tw = self._timewin
-            if tw is not None:
-                tw.on_drop(packet.flow_id, self.aq_id, packet.size, now)
+            if probe is not None:
+                probe.limit_drop(packet, now, gap)
             return False
-        tw = self._timewin
-        if tw is not None:
-            # Who is building this *virtual* queue: the accepted packet's
-            # flow, with the post-arrival A-Gap as the depth sample.
-            tw.on_enqueue(packet.flow_id, self.aq_id, packet.size, gap, now)
+        if probe is not None:
+            probe.admit(packet, now, gap)
         if self.record_delays:
             stats.delay_samples.append(self.tracker.virtual_queuing_delay())
         kind = self.policy.kind
@@ -209,11 +172,8 @@ class AugmentedQueue:
             if threshold is not None and gap > threshold and packet.ect:
                 packet.mark_ce()
                 stats.marked_packets += 1
-                if trace is not None:
-                    trace.emit_fields(
-                        EV_ECN_MARK, now, aq_id=self.aq_id,
-                        flow_id=packet.flow_id, size=packet.size, value=gap,
-                    )
+                if probe is not None:
+                    probe.mark(packet, now, gap)
         elif kind == DELAY_BASED:
             packet.virtual_delay += self.tracker.virtual_queuing_delay()
         return True

@@ -59,7 +59,7 @@ class WorkConservingGate:
         self._last_decision: Optional[str] = None
         tele = switch.sim.telemetry
         self._tele = tele if tele is not None and tele.enabled else None
-        if tele is not None and tele.enabled:
+        if self._tele is not None:
             tele.metrics.add_collector(self._collect_metrics)
         # Replace the pipeline's ingress hook with the gated version.
         hooks = switch.ingress_hooks
@@ -100,8 +100,6 @@ class WorkConservingGate:
     def _emit_decision(self, decision: str, now: float, backlog: int) -> None:
         # Transition-only gate events: the auditor cross-checks the
         # work-conservation contract (enforce only above the threshold).
-        if not self._tele.enabled:
-            return
         self._last_decision = decision
         self._tele.trace.emit_fields(
             EV_GATE, now, node=self._gate_name,

@@ -173,8 +173,10 @@ def bench_timewin_overhead(
     Runs the idle-link pump three ways — telemetry off, telemetry enabled
     without the recorder, and telemetry enabled with it — over ``n_flows``
     rotating flows. ``overhead_ratio`` compares the last two, isolating the
-    recorder's own cost from the trace-emission cost every enabled run
-    already pays. ``target_ratio`` records the <5% always-on budget the
+    recorder's own cost from the probe calls every enabled run pays;
+    ``telemetry_ratio`` compares the first two, the cost of enabled
+    telemetry with no consumer (no trace sink, so no event is built).
+    ``target_ratio`` records the <5% always-on budget the
     abstraction is designed for (PrintQueue's hardware claim); the pure
     Python reference recorder measures the *algorithmic* cost per record,
     which this worst-case bench (every event is an enqueue) overstates

@@ -2,12 +2,15 @@
 
 See DESIGN.md's "Observability" section for the architecture; the short
 version: pull-based metrics (collectors run at snapshot time), push-based
-typed trace events (guarded by one ``enabled`` check), and an optional
-run-loop profiler — all bundled in a :class:`Telemetry` object carried by
-the simulator. Two heavier opt-in layers ride on the same guard: the INT
-flight recorder (:mod:`repro.obs.flightrec`) piggybacks per-hop records
-on packets, and the conservation-law auditor (:mod:`repro.obs.audit`)
-re-derives the data plane's bookkeeping from the trace stream.
+typed trace events, and an optional run-loop profiler — all bundled in a
+:class:`Telemetry` object carried by the simulator. Each data-path event
+site binds one :class:`~repro.obs.probe.Probe` at build time and reports
+through it; the probe fans the event out to the trace bus (only while a
+sink is attached) and to two heavier opt-in layers: the INT flight
+recorder (:mod:`repro.obs.flightrec`), which piggybacks per-hop records
+on packets, and the time-window recorder (:mod:`repro.obs.timewin`).
+The conservation-law auditor (:mod:`repro.obs.audit`) is a trace sink
+that re-derives the data plane's bookkeeping from the event stream.
 """
 
 from .audit import AuditError, AuditViolation, RunAuditor

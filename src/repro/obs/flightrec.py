@@ -20,10 +20,10 @@ attribution ("dropped at s0.p1 by AQ 7 rate-limit (ingress), A=1.2MB >
 limit 1.0MB"). :class:`JsonlFlightSink`/:func:`read_flights_jsonl` are
 the file interchange pair behind ``repro telemetry flights``.
 
-Hot-path contract: components cache ``self._flight`` (the recorder or
-``None``) at construction, so with recording disabled the added cost is
-one attribute load + branch per site — the same discipline as the
-TraceBus ``enabled`` guard.
+Hot-path contract: data-path sites reach the recorder only through
+their :class:`~repro.obs.probe.Probe`, which binds it (or ``None``) at
+construction, so with recording disabled the added cost is one branch
+inside a probe call the site makes anyway.
 """
 
 from __future__ import annotations
@@ -428,8 +428,8 @@ class FlightRecorder:
     """Coordinates in-band hop recording and flight completion fan-out.
 
     Install via :meth:`repro.obs.telemetry.Telemetry.enable_flight_recording`
-    *before* building the network — components cache the recorder at
-    construction time, exactly like the TraceBus guard.
+    *before* building the network — every event probe binds the
+    recorder at construction time.
     """
 
     def __init__(self, index: Optional[FlightIndex] = None) -> None:

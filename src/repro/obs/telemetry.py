@@ -3,16 +3,19 @@
 A :class:`Telemetry` instance is what flows through the simulation — the
 :class:`~repro.sim.engine.Simulator` holds one, components reach it via
 ``sim.telemetry`` (or receive it explicitly, e.g. queues built before a
-simulator exists), and the hot-path contract is a single check::
+simulator exists).
 
-    tele = self._tele
-    if tele is not None and tele.enabled:
-        tele.trace.emit_fields(...)
+The hot-path contract is one probe per event site
+(:mod:`repro.obs.probe`): a data-path component binds its probe once, at
+construction, and makes one call per event::
+
+    probe = self._probe            # telemetry.port_probe(name) at build
+    if probe is not None:
+        probe.enqueue(packet, now, float(self._bytes))
 
 Disabled is the default: a fresh simulator gets a disabled, sink-less
-``Telemetry`` so instrumented call sites cost one attribute load and one
-branch. Because enabling toggles a flag on the *same object* (never a
-swap), components may cache the reference forever.
+``Telemetry`` whose probe factories return ``None``, so an instrumented
+site costs one ``is not None`` check.
 
 For code paths that build their own :class:`Network`/:class:`Simulator`
 internally (every harness scenario does), :meth:`Telemetry.activate`
@@ -29,6 +32,7 @@ from typing import Iterator, Optional
 from .audit import RunAuditor
 from .flightrec import FlightRecorder
 from .metrics import MetricsRegistry
+from .probe import AqProbe, Probe
 from .profiler import SimProfiler
 from .timewin import TimeWindowRecorder
 from .tracebus import JsonlSink, RingBufferSink, SummarySink, TraceBus
@@ -51,7 +55,7 @@ class Telemetry:
         self.trace = TraceBus()
         self.profiler: Optional[SimProfiler] = SimProfiler() if profile else None
         #: In-band flight recorder; install with :meth:`enable_flight_recording`
-        #: *before* building the network (components cache the reference).
+        #: *before* building the network (probes bind it at construction).
         self.flightrec: Optional[FlightRecorder] = None
         #: Conservation-law auditor; install with :meth:`enable_audit`.
         self.auditor: Optional[RunAuditor] = None
@@ -60,14 +64,6 @@ class Telemetry:
         self.timewin: Optional[TimeWindowRecorder] = None
 
     # -- switches --------------------------------------------------------------
-
-    def enable(self) -> "Telemetry":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "Telemetry":
-        self.enabled = False
-        return self
 
     def enable_profiling(self) -> SimProfiler:
         if self.profiler is None:
@@ -79,13 +75,13 @@ class Telemetry:
         jsonl_path: Optional[str] = None,
         max_flights: Optional[int] = None,
     ) -> FlightRecorder:
-        """Install (and return) the INT flight recorder; implies ``enable()``.
+        """Install (and return) the INT flight recorder; enables telemetry.
 
-        Must run before the network is built — data-plane components cache
-        ``telemetry.flightrec`` at construction, mirroring the TraceBus
-        guard. ``jsonl_path`` additionally streams completed flights to a
-        file readable by ``repro telemetry flights``; ``max_flights``
-        bounds that file to the most recent flights (``--flight-max``).
+        Must run before the network is built — every probe binds
+        ``telemetry.flightrec`` at construction. ``jsonl_path``
+        additionally streams completed flights to a file readable by
+        ``repro telemetry flights``; ``max_flights`` bounds that file to
+        the most recent flights (``--flight-max``).
         """
         self.enabled = True
         if self.flightrec is None:
@@ -100,14 +96,14 @@ class Telemetry:
         num_windows: Optional[int] = None,
         slots_log2: Optional[int] = None,
     ) -> TimeWindowRecorder:
-        """Install (and return) the time-window recorder; implies ``enable()``.
+        """Install (and return) the time-window recorder; enables telemetry.
 
-        Must run before the network is built — data-plane components
-        cache ``telemetry.timewin`` at construction, exactly like the
-        flight recorder. Unlike flight recording, the windows keep fixed
-        memory per port regardless of run length, so this layer is safe
-        to leave always-on. Omitted parameters keep the recorder
-        defaults (1 ms windows x 32 retained x 64 flow slots).
+        Must run before the network is built — queue probes bind their
+        port handle at construction, exactly like the flight recorder.
+        Unlike flight recording, the windows keep fixed memory per port
+        regardless of run length, so this layer is safe to leave
+        always-on. Omitted parameters keep the recorder defaults (1 ms
+        windows x 32 retained x 64 flow slots).
         """
         self.enabled = True
         if self.timewin is None:
@@ -123,12 +119,29 @@ class Telemetry:
         return self.timewin
 
     def enable_audit(self, strict: bool = False) -> RunAuditor:
-        """Attach (and return) a conservation-law auditor; implies ``enable()``."""
+        """Attach (and return) a conservation-law auditor; enables telemetry."""
         self.enabled = True
         if self.auditor is None:
             self.auditor = RunAuditor(strict=strict)
             self.trace.attach(self.auditor)
         return self.auditor
+
+    # -- probes ----------------------------------------------------------------
+
+    def probe(self, node: str) -> Optional[Probe]:
+        """Probe of a host, link, switch or transmitter named ``node``."""
+        return Probe(self, node) if self.enabled else None
+
+    def port_probe(self, node: str) -> Optional[Probe]:
+        """Probe of the queue named ``node``, with its time windows."""
+        return Probe(self, node, self._port_handle(node)) if self.enabled else None
+
+    def aq_probe(self, aq, node: str) -> Optional[AqProbe]:
+        """Probe of Augmented Queue ``aq``; ``node`` names its virtual queue."""
+        return AqProbe(self, node, self._port_handle(node), aq) if self.enabled else None
+
+    def _port_handle(self, node: str):
+        return self.timewin.port_handle(node) if self.timewin is not None else None
 
     # -- sink shorthands -------------------------------------------------------
 

@@ -575,7 +575,12 @@ class PortHandle:
     def on_enqueue(
         self, flow_id: int, tenant_id: int, size: int, depth: float, now: float
     ) -> None:
-        """Same contract as :meth:`TimeWindowRecorder.on_enqueue`, port-bound."""
+        """A packet was accepted into the port's queue.
+
+        ``depth`` is the backlog *after* acceptance (what the flight
+        recorder's queue hops carry, so ground truth lines up exactly);
+        ``tenant_id`` is the AQ ingress ID header (0 = untagged).
+        """
         window = self._win
         if window is None or now >= self._t1:
             window = self._refresh(now)
@@ -598,12 +603,19 @@ class PortHandle:
             window.slot_pkts[index] = 1
             window.touched.append(index)
         else:
+            # Hash collision: the slot keeps its first owner; the newcomer
+            # is charged to the window's collision bucket so per-window
+            # totals still reconcile (and validators know to widen).
             window.collision_bytes += size
             window.collision_pkts += 1
             self._port.collisions += 1
 
     def on_depth(self, depth: float, now: float) -> None:
-        """Same contract as :meth:`TimeWindowRecorder.on_depth`, port-bound."""
+        """Port-level depth sample without flow attribution.
+
+        Multi-queue ports use this to record the *summed* backlog across
+        their traffic classes — the per-class high-waters only bound it.
+        """
         window = self._win
         if window is None or now >= self._t1:
             window = self._refresh(now)
@@ -611,7 +623,7 @@ class PortHandle:
             window.high_water = depth
 
     def on_drop(self, flow_id: int, tenant_id: int, size: int, now: float) -> None:
-        """Same contract as :meth:`TimeWindowRecorder.on_drop`, port-bound."""
+        """A packet was discarded at the port (tail/RED/fault drop)."""
         window = self._win
         if window is None or now >= self._t1:
             window = self._refresh(now)
@@ -623,10 +635,10 @@ class TimeWindowRecorder(WindowQueryAPI):
     """Always-on, fixed-memory queue-buildup attribution.
 
     Install via :meth:`repro.obs.telemetry.Telemetry.enable_time_windows`
-    *before* building the network — data-plane components cache a
-    :class:`PortHandle` at construction, exactly like the flight
-    recorder. Every hook is a plain method call guarded by one cached
-    ``is not None`` check at the call site, and recording perturbs
+    *before* building the network — each queue's probe
+    (:mod:`repro.obs.probe`) binds a :class:`PortHandle` at
+    construction, exactly like the flight recorder. Every hook is a
+    plain method call, and recording perturbs
     nothing: no RNG draws, no packet mutation, so runs are digest-
     neutral with the recorder on or off.
     """
@@ -653,7 +665,8 @@ class TimeWindowRecorder(WindowQueryAPI):
         self._mask = self.slots - 1
         self._ports: Dict[str, _PortWindows] = {}
         self._handles: List[PortHandle] = []
-        self.records = 0
+        #: Handles behind the by-name hooks (:meth:`on_enqueue` and kin).
+        self._named: Dict[str, PortHandle] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -678,9 +691,9 @@ class TimeWindowRecorder(WindowQueryAPI):
     def _window_for(self, port: _PortWindows, seq: int) -> _Window:
         """Slow path of the active-window lookup (miss, flip, or first write).
 
-        The data-plane hooks inline the common case — ``port.active`` already
-        covers ``seq`` — and only call here on a window boundary, so this
-        runs once per (port, window), not once per packet.
+        :meth:`PortHandle._refresh` calls here only when ``port.active``
+        does not cover ``seq``, so this runs once per (port, window), not
+        once per packet.
         """
         active = port.active
         if active is None:
@@ -711,6 +724,13 @@ class TimeWindowRecorder(WindowQueryAPI):
 
     # -- data-plane hooks --------------------------------------------------
 
+    def _handle(self, port_name: str) -> PortHandle:
+        """The recorder's own cached handle for ``port_name``."""
+        handle = self._named.get(port_name)
+        if handle is None:
+            handle = self._named[port_name] = self.port_handle(port_name)
+        return handle
+
     def on_enqueue(
         self,
         port_name: str,
@@ -720,74 +740,18 @@ class TimeWindowRecorder(WindowQueryAPI):
         depth: float,
         now: float,
     ) -> None:
-        """A packet was accepted into ``port_name``'s queue.
-
-        ``depth`` is the backlog *after* acceptance (what the flight
-        recorder's queue hops carry, so ground truth lines up exactly);
-        ``tenant_id`` is the AQ ingress ID header (0 = untagged).
-        """
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        self.records += 1
-        window.total_bytes += size
-        window.total_pkts += 1
-        if depth > window.high_water:
-            window.high_water = depth
-        tenants = window.tenant_bytes
-        tenants[tenant_id] = tenants.get(tenant_id, 0) + size
-        index = flow_id & self._mask
-        slot_flow = window.slot_flow[index]
-        if slot_flow == flow_id:
-            window.slot_bytes[index] += size
-            window.slot_pkts[index] += 1
-        elif slot_flow == -1:
-            window.slot_flow[index] = flow_id
-            window.slot_tenant[index] = tenant_id
-            window.slot_bytes[index] = size
-            window.slot_pkts[index] = 1
-            window.touched.append(index)
-        else:
-            # Hash collision: the slot keeps its first owner; the newcomer
-            # is charged to the window's collision bucket so per-window
-            # totals still reconcile (and validators know to widen).
-            window.collision_bytes += size
-            window.collision_pkts += 1
-            port.collisions += 1
+        """:meth:`PortHandle.on_enqueue` for the port named ``port_name``."""
+        self._handle(port_name).on_enqueue(flow_id, tenant_id, size, depth, now)
 
     def on_depth(self, port_name: str, depth: float, now: float) -> None:
-        """Port-level depth sample without flow attribution.
-
-        Multi-queue ports use this to record the *summed* backlog across
-        their traffic classes — the per-class high-waters only bound it.
-        """
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        if depth > window.high_water:
-            window.high_water = depth
+        """:meth:`PortHandle.on_depth` for the port named ``port_name``."""
+        self._handle(port_name).on_depth(depth, now)
 
     def on_drop(
         self, port_name: str, flow_id: int, tenant_id: int, size: int, now: float
     ) -> None:
-        """A packet was discarded at ``port_name`` (tail/RED/fault drop)."""
-        port = self._ports.get(port_name)
-        if port is None:
-            port = self._ports[port_name] = _PortWindows(port_name)
-        seq = int(now / self.window_s)
-        window = port.active
-        if window is None or window.seq != seq:
-            window = self._window_for(port, seq)
-        window.dropped_bytes += size
-        window.dropped_pkts += 1
+        """:meth:`PortHandle.on_drop` for the port named ``port_name``."""
+        self._handle(port_name).on_drop(flow_id, tenant_id, size, now)
 
     # -- WindowQueryAPI ----------------------------------------------------
 
@@ -855,7 +819,7 @@ class TimeWindowRecorder(WindowQueryAPI):
         """Run-level counters (flips, collisions, evictions, memory)."""
         return {
             "ports": len(self._ports),
-            "records": self.records + sum(h.records for h in self._handles),
+            "records": sum(h.records for h in self._handles),
             "flips": sum(p.flips for p in self._ports.values()),
             "collisions": sum(p.collisions for p in self._ports.values()),
             "evicted_windows": sum(p.evicted for p in self._ports.values()),

@@ -1,9 +1,11 @@
 """TraceBus: fan-out of typed events to pluggable sinks.
 
 The bus is the *push* half of the observability layer. Emitting is a
-plain method call — components hold a reference to the bus (or reach it
-via ``sim.telemetry.trace``) and guard emission with the telemetry
-``enabled`` flag so the disabled path costs one attribute check.
+plain method call. Data-path sites emit through their
+:class:`~repro.obs.probe.Probe`, which builds an event only while the
+bus has a sink; the other emitters (transports, the controller, the
+fault injector) reach the bus via ``sim.telemetry.trace``, and the bus
+itself drops their events unbuilt when no sink is attached.
 
 Three sinks ship with the bus:
 
@@ -130,6 +132,8 @@ class TraceBus:
 
     def __init__(self) -> None:
         self._sinks: List[TraceSink] = []
+        #: Events delivered to at least one sink; an event emitted while
+        #: no sink is attached is neither built nor counted.
         self.events_published = 0
 
     def attach(self, sink: TraceSink) -> TraceSink:
@@ -139,14 +143,12 @@ class TraceBus:
     def detach(self, sink: TraceSink) -> None:
         self._sinks.remove(sink)
 
-    @property
-    def has_sinks(self) -> bool:
-        return bool(self._sinks)
-
     def emit(self, event: TraceEvent) -> None:
-        self.events_published += 1
-        for sink in self._sinks:
-            sink.handle(event)
+        sinks = self._sinks
+        if sinks:
+            self.events_published += 1
+            for sink in sinks:
+                sink.handle(event)
 
     def emit_fields(
         self,
@@ -159,8 +161,9 @@ class TraceBus:
         value: Optional[float] = None,
         reason: Optional[str] = None,
     ) -> None:
-        """Convenience wrapper so hot-path call sites stay one line."""
-        self.emit(TraceEvent(type, time, node, flow_id, aq_id, size, value, reason))
+        """Build and publish an event, but only if a sink will see it."""
+        if self._sinks:
+            self.emit(TraceEvent(type, time, node, flow_id, aq_id, size, value, reason))
 
     def close(self) -> None:
         for sink in self._sinks:

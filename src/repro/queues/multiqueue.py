@@ -85,15 +85,14 @@ class MultiQueuePort(QueueDiscipline):
         self._rr_index = 0
         self._deficits = [0.0] * num_queues
         self._quantum = 1500.0
-        # Sub-queues attribute flows under "<base>.qN"; the port itself
-        # contributes only the summed-backlog depth samples the per-class
-        # windows cannot derive (their high-waters never coincide).
-        tele = telemetry if telemetry is not None and telemetry.enabled else None
-        tw = tele.timewin if tele is not None else None
-        # The port only records when named — sub-queues carry their own
-        # "<base>.qN" handles and the unnamed composite has no label to
-        # attribute the summed backlog to.
-        self._timewin = tw.port_handle(name) if tw is not None and name else None
+        # Sub-queues report their own events under "<base>.qN"; the port
+        # itself contributes only the summed-backlog depth samples the
+        # per-class windows cannot derive (their high-waters never
+        # coincide), and only when named — the unnamed composite has no
+        # label to attribute the summed backlog to.
+        self._probe = (
+            telemetry.port_probe(name) if telemetry is not None and name else None
+        )
 
     # -- QueueDiscipline -----------------------------------------------------
 
@@ -104,9 +103,8 @@ class MultiQueuePort(QueueDiscipline):
                 f"classifier returned queue {index} of {self.num_queues}"
             )
         accepted = self.queues[index].enqueue(packet, now)
-        tw = self._timewin
-        if tw is not None and accepted:
-            tw.on_depth(float(self.bytes_queued), now)
+        if accepted and self._probe is not None:
+            self._probe.depth(float(self.bytes_queued), now)
         return accepted
 
     def dequeue(self, now: float) -> Optional[Packet]:

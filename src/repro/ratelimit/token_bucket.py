@@ -108,7 +108,7 @@ class TokenBucketShaper:
         if self._backlog_bytes + packet.size > self.backlog_limit_bytes:
             self.dropped_packets += 1
             tele = self._tele
-            if tele is not None and tele.enabled:
+            if tele is not None:
                 # No aq_id: the auditor uses its absence to tell shaper
                 # discards (pre-injection) from in-fabric AQ limit drops.
                 tele.trace.emit_fields(

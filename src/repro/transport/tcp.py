@@ -319,7 +319,7 @@ class TcpSender:
                 flightsize_packets=len(self._inflight),
             )
             self.cc.on_ack(ctx)
-            if self._tele is not None and self._tele.enabled:
+            if self._tele is not None:
                 self._trace_cwnd(now)
 
         if self.size_bytes is not None and self.snd_una >= self.size_bytes:
@@ -338,7 +338,7 @@ class TcpSender:
             self._recover_seq = self.snd_nxt
             self.stats.fast_retransmits += 1
             self.cc.on_packet_loss(now)
-            if self._tele is not None and self._tele.enabled:
+            if self._tele is not None:
                 self._trace_cwnd(now)
             self._retransmit_hole(self.snd_una)
 
@@ -381,7 +381,7 @@ class TcpSender:
             return
         self.stats.timeouts += 1
         self.cc.on_rto(self.sim.now)
-        if self._tele is not None and self._tele.enabled:
+        if self._tele is not None:
             self._trace_cwnd(self.sim.now)
         # Go-back-N: forget everything in flight and restart from snd_una.
         self._inflight.clear()

@@ -25,6 +25,8 @@ from repro.obs.events import (
     EV_RATE_LIMIT,
 )
 from repro.queues.fifo import PhysicalFifoQueue
+from repro.queues.multiqueue import MultiQueuePort
+from repro.queues.perflow import PerFlowQueue
 from repro.units import gbps
 
 SHORT = dict(bottleneck_bps=gbps(1), duration=40e-3, warmup=15e-3)
@@ -401,3 +403,54 @@ class TestAuditIntegration:
         tele.close()
         assert auditor.events_seen > 1_000
         assert auditor.finish() == []
+
+
+# -- every queue discipline reports through its probe -------------------------------
+
+_QUEUE_KINDS = {
+    "fifo": lambda tele: PhysicalFifoQueue(
+        limit_bytes=1 << 20, name="s0.p0", telemetry=tele
+    ),
+    "perflow": lambda tele: PerFlowQueue(
+        limit_bytes_per_queue=1 << 20, name="s0.p0", telemetry=tele
+    ),
+    "multiqueue": lambda tele: MultiQueuePort(
+        num_queues=2, limit_bytes_per_queue=1 << 20, name="s0.p0", telemetry=tele
+    ),
+}
+
+
+class TestQueueDisciplinesReport:
+    @pytest.mark.parametrize("kind", sorted(_QUEUE_KINDS))
+    def test_restart_drain_after_enqueues_audits_clean(self, kind):
+        # A restart drains as ``drop`` events; the auditor subtracts them
+        # from a backlog it can only have derived from ``enqueue`` events.
+        tele = Telemetry()
+        auditor = tele.enable_audit()
+        queue = _QUEUE_KINDS[kind](tele)
+        for i in range(3):
+            packet = make_data("h0", "h1", flow_id=i + 1, seq=0, size=1000)
+            assert queue.enqueue(packet, now=i * 1e-4)
+        assert len(queue.drain(1e-3, "switch_restart")) == 3
+        assert [
+            v for v in auditor.finish() if v.invariant.startswith("queue_")
+        ] == []
+        assert auditor.fault_dropped_packets == {"switch_restart": 3}
+
+    @pytest.mark.parametrize("kind", sorted(_QUEUE_KINDS))
+    def test_flights_through_the_queue_carry_a_closed_queue_hop(self, kind):
+        tele = Telemetry()
+        recorder = tele.enable_flight_recording()
+        queue = _QUEUE_KINDS[kind](tele)
+        for i in range(3):
+            packet = make_data("h0", "h1", flow_id=i + 1, seq=0, size=1000)
+            recorder.start(packet, 0.0)
+            assert queue.enqueue(packet, now=1e-4)
+        while (packet := queue.dequeue(2e-4)) is not None:
+            recorder.complete(packet, 3e-4, "delivered", node="h1")
+        for flow_id in (1, 2, 3):
+            (flight,) = recorder.index.flights_for(flow_id)
+            hops = [h for h in flight.hops if h.kind == "queue"]
+            assert len(hops) == 1
+            assert hops[0].node.startswith("s0.p0")
+            assert (hops[0].t_in, hops[0].t_out) == (1e-4, 2e-4)

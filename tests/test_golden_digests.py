@@ -8,7 +8,14 @@ These pins can: each is the SHA-256 of a job's deterministic result
 ``tests/golden_digests.json``. The jobs cover the token bucket, the
 transmitter, the physical FIFO, UDP senders and AQ; the fabric runs
 cover the sharded fat-tree with UDP and with mixed TCP+AQ traffic and
-churn.
+churn. The ``trace`` pins hold the SHA-256 of a CLI run's whole JSONL
+trace, so a change to observation alone (event order, fields, values)
+moves a pin too.
+
+The ``grid`` pins cover every ``default_jobs()`` entry outside
+``engine/*`` (whose results are wall clocks). They take minutes, so
+tier-1 checks only that the pin set matches the registry;
+``tests/check_golden_grid.py`` runs them (CI job ``golden-grid``).
 
 A pin is exact per interpreter version. Where a version computes a job
 differently, its pin sits under ``python_overrides`` (CPython 3.12's
@@ -29,6 +36,7 @@ import sys
 
 import pytest
 
+from repro.cli import main
 from repro.harness.fabric import run_share_fabric
 from repro.harness.jobs import default_jobs
 from repro.harness.runner import deterministic_result, resolve_target
@@ -64,3 +72,21 @@ def test_fabric_digest_pinned(name):
         kwargs["churn"] = True
     report = run_share_fabric(1, pin["duration_ms"] * 1e-3, inline=True, **kwargs)
     assert report["digest"] == pin["digest"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["trace"]))
+def test_trace_digest_pinned(name, tmp_path, capsys):
+    pin = GOLDEN["trace"][name]
+    path = tmp_path / "trace.jsonl"
+    assert main(pin["argv"] + ["--telemetry", str(path)]) == 0
+    capsys.readouterr()
+    blob = path.read_bytes()
+    assert blob.count(b"\n") == pin["events"]
+    assert hashlib.sha256(blob).hexdigest() == pin["sha256"]
+
+
+def test_grid_pins_cover_every_deterministic_job():
+    deterministic = {name for name in _SPECS if not name.startswith("engine/")}
+    assert set(GOLDEN["grid"]) == deterministic
+    for name, digest in GOLDEN["jobs"].items():
+        assert GOLDEN["grid"][name] == digest

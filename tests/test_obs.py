@@ -34,6 +34,8 @@ from repro.obs import (
     get_active_telemetry,
     read_jsonl,
 )
+from repro.net.packet import make_data
+from repro.queues.fifo import PhysicalFifoQueue
 from repro.sim.engine import Simulator
 from repro.units import gbps
 
@@ -441,6 +443,25 @@ class TestReconstruction:
             run_cc_pair("cubic", 1, "udp", 1, "pq", **SHORT)
         assert sum(summary.by_type.values()) == 0
         assert tele.trace.events_published == 0
+
+    def test_no_trace_events_are_built_for_an_empty_bus(self):
+        # Time windows enable telemetry, but nothing listens on the bus:
+        # the windows still record while no trace event is built.
+        tele = Telemetry()
+        windows = tele.enable_time_windows()
+        with tele.activate():
+            run_cc_pair("dctcp", 1, "udp", 1, "aq", **SHORT)
+        assert tele.trace.events_published == 0
+        assert windows.stats()["records"] > 0
+
+    def test_sink_attached_after_build_sees_later_events(self):
+        tele = Telemetry(enabled=True)
+        queue = PhysicalFifoQueue(limit_bytes=1 << 20, name="q", telemetry=tele)
+        queue.enqueue(make_data("h0", "h1", flow_id=1, seq=0, size=100), now=0.0)
+        ring = tele.add_ring()
+        queue.enqueue(make_data("h0", "h1", flow_id=1, seq=100, size=100), now=1.0)
+        assert [(e.type, e.time) for e in ring.events] == [(EV_ENQUEUE, 1.0)]
+        assert tele.trace.events_published == 1
 
 
 # -- CLI round trip ----------------------------------------------------------------
