@@ -23,7 +23,7 @@ from typing import Dict
 from ..net.link import Link, Transmitter
 from ..net.packet import make_udp
 from ..queues.fifo import PhysicalFifoQueue
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from ..units import transmission_time
 
 
@@ -68,29 +68,40 @@ def bench_timer_churn(
 def bench_fire_chain(n_events: int = 200_000) -> Dict[str, float]:
     """Fire-and-forget event throughput: the packet-delivery pattern.
 
-    A single self-rescheduling ``schedule_fire`` chain; after warm-up every
-    event is served from the simulator's free list, so steady state
-    allocates no Event objects. This is the upper bound on raw event
+    A single self-rescheduling ``schedule_fire`` chain. Its calendar
+    entries are bare tuples, so the chain must construct no
+    :class:`Event` at all: ``events_built`` counts constructions through a
+    wrapped ``Event.__init__``. This is the upper bound on raw event
     throughput (empty callbacks, depth-1 heap).
     """
     sim = Simulator()
     remaining = [n_events]
+    built = [0]
+    init = Event.__init__
+
+    def counting_init(event, *args) -> None:
+        built[0] += 1
+        init(event, *args)
 
     def chain() -> None:
         remaining[0] -= 1
         if remaining[0] > 0:
             sim.schedule_fire(1e-6, chain)
 
-    sim.schedule_fire(1e-6, chain)
-    t0 = time.perf_counter()
-    processed = sim.run()
-    wall = time.perf_counter() - t0
+    Event.__init__ = counting_init
+    try:
+        sim.schedule_fire(1e-6, chain)
+        t0 = time.perf_counter()
+        processed = sim.run()
+        wall = time.perf_counter() - t0
+    finally:
+        Event.__init__ = init
     return {
         "n_events": float(n_events),
         "wall_s": wall,
         "events_processed": float(processed),
         "events_per_sec": processed / wall if wall > 0 else 0.0,
-        "free_list_size": float(len(sim._free)),
+        "events_built": float(built[0]),
     }
 
 

@@ -467,6 +467,16 @@ class FlightRecorder:
         if len(open_packets) > 4096:
             self._open = [p for p in open_packets if p.flight is not None]
 
+    def end_segment(self, packet, now: float, node: str, corr: str) -> None:
+        """Seal the flight of a packet exported across a shard cut.
+
+        A trailing ``cut`` hop carries the correlation key that the
+        importing shard's :meth:`begin_segment` opens with, so
+        :func:`stitch_flight_dumps` can chain the two segments.
+        """
+        packet.flight.append(HopRecord("cut", node, now, corr=corr))
+        self.complete(packet, now, "exported", node=node)
+
     def begin_segment(self, packet, now: float, node: str, corr: str) -> None:
         """Re-arm a packet imported across a shard cut.
 

@@ -1,8 +1,8 @@
 """Per-site event probes: the data path's one observation hook.
 
-Every data-path event site (queue, host, link, switch, transmitter, AQ)
-binds one probe at construction and makes one call per event. The probe
-decides which consumer sees the event:
+Every data-path event site (queue, host, link, switch, transmitter, AQ,
+each end of a shard cut link) binds one probe at construction and makes
+one call per event. The probe decides which consumer sees the event:
 
 * the trace bus gets a :class:`~repro.obs.events.TraceEvent` only while
   a sink is attached, tested per event against the bus's live sink list:
@@ -111,6 +111,31 @@ class Probe:
             self._bus.emit_fields(
                 EV_DELIVER, now, self.node, packet.flow_id, None, packet.size
             )
+
+    def export(self, packet, now: float, link_id: int, seq: int) -> None:
+        """``packet`` left this partition as departure ``seq`` of the cut
+        link ``link_id`` this probe names. A synthetic ``deliver`` closes
+        the local ledger, and the flight segment ends under the
+        ``link_id:seq`` key that the boundary batch also carries."""
+        if self._sinks:
+            self._bus.emit_fields(
+                EV_DELIVER, now, self.node, packet.flow_id, None, packet.size
+            )
+        fr = self._flight
+        if fr is not None and packet.flight is not None:
+            fr.end_segment(packet, now, self.node, f"{link_id}:{seq}")
+
+    def import_(self, packet, now: float, link_id: int, seq: int) -> None:
+        """``packet`` arrived as departure ``seq`` of cut link ``link_id``.
+        A synthetic ``host_send`` opens the local ledger where the
+        exporter's closed (same node name), and a new flight segment
+        continues under the exporter's key."""
+        if self._sinks:
+            self._bus.emit_fields(
+                EV_HOST_SEND, now, self.node, packet.flow_id, None, packet.size
+            )
+        if self._flight is not None:
+            self._flight.begin_segment(packet, now, self.node, f"{link_id}:{seq}")
 
     def seal(self, packet, now: float, status: str = "dropped") -> None:
         """``packet``'s flight ends at this node (a pipeline hook that

@@ -9,14 +9,16 @@ matter for reproducing the paper:
   than they fire; cancelled events are tombstoned and skipped on pop, and
   the calendar is compacted in place whenever tombstones outnumber live
   events (see ``docs/PERFORMANCE.md``).
-* **Speed** — the hot path (schedule/pop) avoids attribute lookups and
-  allocations where practical; events are small ``__slots__`` objects, and
-  fire-and-forget events (:meth:`Simulator.schedule_fire`) are recycled
-  through a free list so steady-state packet forwarding allocates nothing.
+* **Speed** — the calendar is a heap of plain tuples, so :mod:`heapq`
+  orders it in C: fire-and-forget events (:meth:`Simulator.schedule_fire`)
+  are bare ``(time, seq, fn, args)`` entries and build no :class:`Event`;
+  cancellable ones are ``(time, seq, None, event)`` entries carrying the
+  :class:`Event` handle. ``seq`` is unique, so a comparison never reaches
+  the third field.
 
 The simulator also carries the run's :class:`~repro.obs.Telemetry`: the
-profiler (when attached) swaps the run loop for an instrumented variant,
-and components reach the trace bus / metrics registry via
+profiler (when attached) has the run loop time every callback, and
+components reach the trace bus / metrics registry via
 ``sim.telemetry``.
 
 **One execution mode.** Every packet is an event: A-Gap updates, limit
@@ -25,7 +27,7 @@ evaluation. **Sharding** (:mod:`repro.sim.shard`) only changes how many
 calendars there are: one simulator per partition, run in lockstep
 epochs of :meth:`Simulator.run` bounded by the conservative lookahead,
 with cross-partition arrivals re-entering via
-:meth:`Simulator.schedule_at` at barriers. Telemetry composes with it.
+:meth:`Simulator.schedule_fire_at` at barriers. Telemetry composes with it.
 
 Event times must be ordered numbers: scheduling at (or running until) a
 NaN raises, because NaN compares false both ways and would fire out of
@@ -35,6 +37,7 @@ order and leave the clock at NaN.
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from typing import Any, Callable, Optional
 
@@ -42,31 +45,27 @@ from ..errors import SimulationError
 
 
 class Event:
-    """A scheduled callback; returned by :meth:`Simulator.schedule`.
+    """A cancellable scheduled callback; returned by :meth:`Simulator.schedule`.
 
     Instances are handles: the only public operations are :meth:`cancel`
-    and inspecting :attr:`time` / :attr:`cancelled`. Events created through
-    :meth:`Simulator.schedule_fire` are *pooled*: the simulator recycles
-    them after they fire, which is safe precisely because no handle to
-    them ever escapes.
+    and inspecting :attr:`time` / :attr:`cancelled`. The calendar orders
+    the ``(time, seq, None, event)`` entry that carries the handle, never
+    the handle itself.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "poolable", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         fn: Callable[..., Any],
         args: tuple,
         sim: "Simulator",
     ):
         self.time = time
-        self.seq = seq
         self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
         self.cancelled = False
-        self.poolable = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -83,14 +82,9 @@ class Event:
             self.args = ()
             self._sim._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.9f} seq={self.seq} {state}>"
+        return f"<Event t={self.time:.9f} {state}>"
 
 
 class Simulator:
@@ -111,17 +105,15 @@ class Simulator:
     #: Compaction does not kick in below this calendar size: rebuilding a
     #: tiny heap costs more than skipping its tombstones ever will.
     COMPACT_MIN_CALENDAR = 64
-    #: Upper bound on pooled Event objects kept for reuse.
-    FREE_LIST_MAX = 4096
 
     def __init__(self, telemetry=None) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, seq, fn, args)`` or ``(time, seq, None, event)``.
+        self._heap: list[tuple] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
         self._events_processed = 0
         self._live = 0
-        self._free: list[Event] = []
         self.compactions = 0
         #: Fault-event observers (see :meth:`add_fault_listener`). Kept off
         #: the run-loop hot path entirely: the list is only walked when a
@@ -144,7 +136,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (for performance reporting)."""
+        """Number of events executed by completed :meth:`run` calls (for
+        performance reporting)."""
         return self._events_processed
 
     # -- scheduling ------------------------------------------------------------
@@ -162,17 +155,17 @@ class Simulator:
                 f"cannot schedule at {time}: not at or after now ({self._now})"
             )
         self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, event)
+        event = Event(time, fn, args, self)
+        heapq.heappush(self._heap, (time, self._seq, None, event))
         self._live += 1
         return event
 
     def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is returned and the
-        event can never be cancelled, which lets the simulator recycle the
-        Event object through a free list instead of allocating. Use this
-        for hot-path events whose handle would be discarded anyway
-        (packet deliveries, serialization completions)."""
+        event can never be cancelled, so the calendar entry is a bare
+        ``(time, seq, fn, args)`` tuple and no :class:`Event` is built.
+        Use this for hot-path events whose handle would be discarded
+        anyway (packet deliveries, serialization completions)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s in the past")
         self.schedule_fire_at(self._now + delay, fn, *args)
@@ -184,17 +177,7 @@ class Simulator:
                 f"cannot schedule at {time}: not at or after now ({self._now})"
             )
         self._seq += 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-        else:
-            event = Event(time, self._seq, fn, args, self)
-            event.poolable = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._live += 1
 
     # -- fault events ------------------------------------------------------------
@@ -217,13 +200,6 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------------
 
-    def _prune_cancelled(self) -> None:
-        """Pop tombstones off the top of the heap until a live event (or
-        nothing) is exposed. Shared by the run loop and :meth:`peek_time`."""
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-
     def _note_cancel(self) -> None:
         """Bookkeeping for one cancellation; compacts the calendar when
         tombstones outnumber live events (>50% of a non-trivial heap)."""
@@ -240,7 +216,10 @@ class Simulator:
         stays valid, and re-heapifies; pop order is unaffected because
         ordering is total on ``(time, seq)``."""
         heap = self._heap
-        heap[:] = [event for event in heap if not event.cancelled]
+        heap[:] = [
+            entry for entry in heap
+            if entry[2] is not None or not entry[3].cancelled
+        ]
         heapq.heapify(heap)
         self.compactions += 1
 
@@ -259,6 +238,10 @@ class Simulator:
         end time — but **not** when the ``max_events`` cap stopped the run
         early: then the clock stays at the last processed event so the
         remaining work can resume where it left off.
+
+        With a profiler attached, every callback is timed and the run is
+        reported to it; otherwise the loop does no bookkeeping beyond the
+        clock and the live-event counter.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -266,99 +249,66 @@ class Simulator:
             raise SimulationError("cannot run until NaN")
         self._running = True
         profiler = self.telemetry.profiler if self.telemetry is not None else None
+        if profiler is not None:
+            perf = _time.perf_counter
+            site_name = profiler.site_name
+            start_sim = self._now
+            run_start = perf()
         heap = self._heap
-        free = self._free
-        free_max = self.FREE_LIST_MAX
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
         processed = 0
         hit_cap = False
-        try:
-            if profiler is None:
-                # Fast path: identical to the pre-telemetry loop.
-                while heap:
-                    event = heap[0]
-                    if event.cancelled:
-                        self._prune_cancelled()
-                        continue
-                    if until is not None and event.time > until:
-                        break
-                    heapq.heappop(heap)
-                    self._live -= 1
-                    self._now = event.time
-                    fn, args = event.fn, event.args
-                    event.fn, event.args = None, ()
-                    assert fn is not None
-                    fn(*args)
-                    if event.poolable and len(free) < free_max:
-                        free.append(event)
-                    processed += 1
-                    self._events_processed += 1
-                    if max_events is not None and processed >= max_events:
-                        hit_cap = True
-                        break
-            else:
-                processed, hit_cap = self._run_profiled(until, max_events, profiler)
-        finally:
-            self._running = False
-        if until is not None and not hit_cap and self._now < until:
-            self._now = until
-        return processed
-
-    def _run_profiled(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        profiler,
-    ) -> "tuple[int, bool]":
-        """Run-loop variant that times every callback for the profiler.
-        Returns ``(processed, hit_cap)``."""
-        heap = self._heap
-        free = self._free
-        free_max = self.FREE_LIST_MAX
-        perf = _time.perf_counter
-        site_name = profiler.site_name
-        processed = 0
-        hit_cap = False
-        start_sim = self._now
-        run_start = perf()
         try:
             while heap:
-                event = heap[0]
-                if event.cancelled:
-                    self._prune_cancelled()
-                    continue
-                if until is not None and event.time > until:
+                time, _, fn, args = heap[0]
+                if time > horizon:
                     break
-                profiler.note_heap_depth(len(heap))
-                heapq.heappop(heap)
+                pop(heap)
+                if fn is None:
+                    # A cancellable entry; ``args`` is its Event handle.
+                    event = args
+                    if event.cancelled:
+                        continue  # tombstone: already off the live count
+                    fn, args = event.fn, event.args
+                    event.fn, event.args = None, ()
                 self._live -= 1
-                self._now = event.time
-                fn, args = event.fn, event.args
-                event.fn, event.args = None, ()
-                assert fn is not None
-                site = site_name(fn)
-                t0 = perf()
-                fn(*args)
-                profiler.record_callback(site, perf() - t0)
-                if event.poolable and len(free) < free_max:
-                    free.append(event)
+                self._now = time
+                if profiler is None:
+                    fn(*args)
+                else:
+                    profiler.note_heap_depth(len(heap) + 1)  # before the pop
+                    site = site_name(fn)
+                    t0 = perf()
+                    fn(*args)
+                    profiler.record_callback(site, perf() - t0)
                 processed += 1
-                self._events_processed += 1
                 if max_events is not None and processed >= max_events:
                     hit_cap = True
                     break
         finally:
-            if hit_cap or until is None or until <= self._now:
-                end_sim = self._now
-            else:
-                end_sim = until
-            profiler.note_run(processed, perf() - run_start, end_sim - start_sim)
-        return processed, hit_cap
+            self._running = False
+            self._events_processed += processed
+            if profiler is not None:
+                if hit_cap or until is None or until <= self._now:
+                    end_sim = self._now
+                else:
+                    end_sim = until
+                profiler.note_run(processed, perf() - run_start, end_sim - start_sim)
+        if until is not None and not hit_cap and self._now < until:
+            self._now = until
+        return processed
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the calendar is empty."""
-        self._prune_cancelled()
+        """Time of the next pending event, or ``None`` if the calendar is
+        empty. Pops the tombstones above it."""
         heap = self._heap
-        return heap[0].time if heap else None
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None or not entry[3].cancelled:
+                return entry[0]
+            heapq.heappop(heap)
+        return None
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the calendar. O(1): a live

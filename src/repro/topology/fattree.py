@@ -298,8 +298,8 @@ def build_fattree(
 
     ``boundary`` is a :class:`repro.sim.shard.BoundaryContext`-shaped
     object (``partition_id``, ``plan``, ``make_egress(sim, cut, ...)``,
-    ``register_import(cut, handler)``); ``None`` builds the whole fabric
-    single-process with ordinary core links.
+    ``register_import(sim, cut, handler)``); ``None`` builds the whole
+    fabric single-process with ordinary core links.
     """
     config = config or FatTreeConfig()
     plan = boundary.plan if boundary is not None else None
@@ -360,7 +360,7 @@ def build_fattree(
                 src_switch.add_port(cut.dst, queue, link)
                 net.links[cut.name] = link
             if cut.dst_partition == partition:
-                boundary.register_import(cut, net.switches[cut.dst].receive)
+                boundary.register_import(net.sim, cut, net.switches[cut.dst].receive)
 
     # 3. Structural routing over whatever was built.
     _install_routes(config, net, {})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.engine import Event, PeriodicTask, Simulator
 
 
 class TestScheduling:
@@ -246,7 +246,17 @@ class TestScheduleFire:
         sim.run()
         assert fired == ["a", "b"]
 
-    def test_events_are_recycled(self):
+    def test_fire_chain_builds_no_event_objects(self, monkeypatch):
+        # Fire-and-forget entries are bare calendar tuples: a long chain
+        # must not construct a single Event handle.
+        built = [0]
+        init = Event.__init__
+
+        def counting_init(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
         sim = Simulator()
         count = [0]
 
@@ -258,9 +268,9 @@ class TestScheduleFire:
         sim.schedule_fire(0.01, chain)
         sim.run()
         assert count[0] == 100
-        # The whole chain should have been served by a handful of pooled
-        # Event objects, not 100 fresh allocations.
-        assert len(sim._free) <= 2
+        assert built[0] == 0
+        sim.schedule(0.01, chain)
+        assert built[0] == 1  # the counter does see handle events
 
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):

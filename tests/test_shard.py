@@ -8,6 +8,7 @@ evicted window rings surviving the stitch honestly).
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -54,14 +55,31 @@ class TestPrimitives:
 
     def test_boundary_batch_round_trips_every_header_field(self):
         packet = make_udp("h0-0-0", "h1-0-0", 7, 1500)
+        plain = make_udp("h0-0-0", "h1-0-0", 7, 1500)
+        packet.seq = 11
+        packet.ack = 12
+        packet.fin = True
+        packet.ect = True
         packet.ce = True
         packet.ece = True
+        packet.aq_ingress_id = 4
+        packet.aq_egress_id = 5
         packet.virtual_delay = 1.5e-6
+        packet.echo_virtual_delay = 2.5e-6
         packet.sent_time = 2e-6
+        packet.retransmission = True
+        # Every field past the constructor's five differs from a fresh
+        # packet, so a column that is dropped or swapped cannot pass.
+        for name in PACKET_COLUMNS[5:]:
+            assert getattr(packet, name) != getattr(plain, name), name
         batch = BoundaryBatch()
         batch.append(5e-5, 3, 0, packet)
-        assert len(batch) == 1
-        (t, link_id, seq, values), = batch.rows()
+        batch.append(6e-5, 2, 9, plain)
+        # Through the pipe the way spawn workers ship it.
+        piped = pickle.loads(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+        assert len(piped) == 2
+        assert piped.rows() == batch.rows()
+        (t, link_id, seq, values), _ = piped.rows()
         assert (t, link_id, seq) == (5e-5, 3, 0)
         clone = packet_from_row(values)
         for name in PACKET_COLUMNS:
